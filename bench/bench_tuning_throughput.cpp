@@ -649,7 +649,7 @@ int run() {
   // correlation is the number that matters: the interpreter orders
   // candidates like the simulator does (the conformance suite gates it).
   const SimulatorBackend sim_backend(gpu);
-  const InterpreterBackend interp_backend(gpu);
+  const ExecBackend interp_backend(gpu);
   std::vector<BackendRow> backend_rows;
   for (const auto& c : interp_chains) {
     const SearchSpace space(c, SpaceOptions{}, prune);
@@ -793,11 +793,11 @@ int run() {
   const bool isolation_available = toolchain.ok() && sandbox_avail.ok;
   std::vector<IsolationRow> isolation_rows;
   if (isolation_available) {
-    const JitBackend inproc_backend(gpu);
-    IsolatedJitBackendOptions iso_opts;
+    const ExecBackend inproc_backend(gpu, {.executor = Executor::Jit});
+    ExecBackendOptions iso_opts{.executor = Executor::Worker};
     iso_opts.pool.workers = 1;  // mirror the in-process execution geometry
-    const IsolatedJitBackend isolated_backend(gpu, iso_opts);
-    if (isolated_backend.sandbox_active()) {
+    const ExecBackend isolated_backend(gpu, iso_opts);
+    if (isolated_backend.active_executor() == Executor::Worker) {
       for (std::size_t i = 0; i < interp_rows.size(); ++i) {
         // The interp rows were never screened through the lowering gate
         // (the functional interpreter happily runs quadrant-II

@@ -148,7 +148,7 @@ struct RunResult {
 /// concurrent callers check out idle workers (blocking when all
 /// `workers` are busy) and dead workers are respawned lazily.  The
 /// destructor kills and reaps everything.  Does NOT consult the crash
-/// negative-cache — that policy lives in the caller (IsolatedJitBackend)
+/// negative-cache — that policy lives in the caller (ExecBackend)
 /// so the pool stays a pure transport.
 class WorkerPool {
  public:

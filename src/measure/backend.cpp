@@ -43,7 +43,7 @@ std::uint64_t schedule_structure_digest(const Schedule& s) {
   return h;
 }
 
-// ---- shared state of the execution-based backends ---------------------------
+// ---- ExecBackend's memos ----------------------------------------------------
 
 namespace detail {
 
@@ -149,9 +149,8 @@ namespace {
 /// sample at a nanosecond (a sample below clock resolution must not
 /// produce time_s == 0 — the contract promises time_s > 0 on ok), sort,
 /// drop trim_fraction of the samples from each end, average the rest.
-/// The sandboxed backend feeds worker-returned samples through the SAME
-/// arithmetic, which is what keeps isolated and in-process timings
-/// directly comparable.
+/// Worker-returned samples go through the SAME arithmetic, which is what
+/// keeps isolated and in-process timings directly comparable.
 double trimmed_mean(std::vector<double> samples, double trim_fraction) {
   for (double& sample : samples) sample = std::max(sample, 1e-9);
   std::sort(samples.begin(), samples.end());
@@ -165,199 +164,128 @@ double trimmed_mean(std::vector<double> samples, double trim_fraction) {
          static_cast<double>(hi - lo);
 }
 
-/// Warm-up / repeat / trimmed-mean wall-clock sampling shared by the
-/// execution-based backends.  `run` executes the kernel once.
-double sample_trimmed_wall(const std::function<void()>& run, int warmup,
-                           int repeats, double trim_fraction,
-                           const std::function<double()>& clock) {
-  for (int i = 0; i < warmup; ++i) run();
-  std::vector<double> samples(static_cast<std::size_t>(repeats));
-  for (double& sample : samples) {
-    const double t0 = clock();
-    run();
-    sample = clock() - t0;
-  }
-  return trimmed_mean(std::move(samples), trim_fraction);
-}
-
-std::function<double()> steady_clock_seconds() {
-  return [] {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
-}
-
 }  // namespace
 
-// ---- InterpreterBackend -----------------------------------------------------
+// ---- ExecBackend ------------------------------------------------------------
 
-InterpreterBackend::InterpreterBackend(GpuSpec spec,
-                                       InterpreterBackendOptions options)
-    : sim_(std::move(spec)), opt_(std::move(options)),
+ExecBackend::ExecBackend(GpuSpec spec, ExecBackendOptions options)
+    : sim_(std::move(spec)), opt_(std::move(options)), active_(opt_.executor),
       state_(opt_.memo_limits) {
   opt_.warmup = std::max(opt_.warmup, 0);
   opt_.repeats = std::max(opt_.repeats, 1);
   opt_.trim_fraction = std::clamp(opt_.trim_fraction, 0.0, 0.49);
-  if (!opt_.clock) opt_.clock = steady_clock_seconds();
-}
-
-KernelMeasurement InterpreterBackend::measure(
-    const Schedule& s, const MeasureOptions& /*options*/) const {
-  KernelMeasurement m;
-  const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
-  m.n_blocks = gate.n_blocks;
-  m.smem_bytes = gate.smem_bytes;
-  if (!gate.ok) {
-    m.fail_reason = gate.fail_reason;
-    return m;
+  if (!opt_.clock) {
+    opt_.clock = [] {
+      return std::chrono::duration<double>(
+                 std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+    };
   }
-
-  const auto data = state_.data(s.chain(), opt_.data_seed);
-  const ChainSpec& chain = s.chain();
-  Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-  const Interpreter interp(s);
-  m.time_s = sample_trimmed_wall(
-      [&] { (void)interp.run(data->a, data->weights, out); }, opt_.warmup,
-      opt_.repeats, opt_.trim_fraction, opt_.clock);
-  m.ok = true;
-  return m;
-}
-
-// ---- JitBackend -------------------------------------------------------------
-
-JitBackend::JitBackend(GpuSpec spec, JitBackendOptions options)
-    : sim_(std::move(spec)), opt_(std::move(options)),
-      toolchain_(jit::detect_toolchain()), state_(opt_.memo_limits) {
-  opt_.warmup = std::max(opt_.warmup, 0);
-  opt_.repeats = std::max(opt_.repeats, 1);
-  opt_.trim_fraction = std::clamp(opt_.trim_fraction, 0.0, 0.49);
-  if (!opt_.clock) opt_.clock = steady_clock_seconds();
-}
-
-KernelMeasurement JitBackend::measure(const Schedule& s,
-                                      const MeasureOptions& options) const {
-  KernelMeasurement m;
-  const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
-  m.n_blocks = gate.n_blocks;
-  m.smem_bytes = gate.smem_bytes;
-  if (!gate.ok) {
-    m.fail_reason = gate.fail_reason;
-    return m;
-  }
-
-  const auto data = state_.data(s.chain(), opt_.data_seed);
-  const ChainSpec& chain = s.chain();
-  Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
-
-  // Native path; a missing toolchain or a (negative-cached) compile
-  // failure degrades to the interpreter so measure() always answers.
-  if (toolchain_.ok()) {
-    std::string err;
-    // `rk.module` lives on this frame across all samples: a concurrent
-    // registry eviction cannot unmap the code mid-measurement.
-    const jit::ResolvedKernel rk =
-        jit::resolve_kernel(s, spec().name, toolchain_, &err);
-    if (rk.ok()) {
-      // Per-call scratch (concurrent measure() calls stay independent),
-      // reused across the warmup/repeat samples inside.
-      std::vector<std::vector<float>> scratch;
-      m.time_s = sample_trimmed_wall(
-          [&] {
-            jit::run_compiled(rk.fn, s, data->a, data->weights, out, scratch,
-                              options.exec_threads);
-          },
-          opt_.warmup, opt_.repeats, opt_.trim_fraction, opt_.clock);
-      m.ok = true;
-      return m;
-    }
-    // A verifier rejection is a property of the schedule, not of the
-    // toolchain: degrading to the interpreter would happily "measure" a
-    // kernel the gate just proved unsafe to compile.  Fail it instead.
-    if (err.rfind(verify::kGateErrorPrefix, 0) == 0) {
-      m.fail_reason = std::move(err);
-      m.fail_kind = MeasureFailKind::VerifyRejected;
-      return m;
+  // The degradation chain, settled once: worker -> in-process jit ->
+  // interpreter.  The first step down names the reason.
+  if (active_ == Executor::Worker) {
+    if (sandbox::Availability avail = sandbox::availability(); !avail.ok) {
+      fallback_reason_ = std::move(avail.reason);
+      active_ = Executor::Jit;
     }
   }
-
-  const Interpreter interp(s);
-  m.time_s = sample_trimmed_wall(
-      [&] { (void)interp.run(data->a, data->weights, out); }, opt_.warmup,
-      opt_.repeats, opt_.trim_fraction, opt_.clock);
-  m.ok = true;
-  return m;
-}
-
-void JitBackend::prepare_batch(std::span<const Schedule* const> schedules,
-                               const MeasureOptions& /*options*/) const {
-  if (!toolchain_.ok()) return;
-  // Only schedules that pass the lowering gate are worth compiling (the
-  // paper's quadrant-II candidates never reach execution).
-  std::vector<const Schedule*> feasible;
-  feasible.reserve(schedules.size());
-  for (const Schedule* s : schedules) {
-    if (s != nullptr && state_.gate(*s, spec()).ok) feasible.push_back(s);
+  if (active_ != Executor::Interp) {
+    toolchain_ = jit::detect_toolchain();
+    if (!toolchain_.ok()) {
+      if (fallback_reason_.empty()) fallback_reason_ = toolchain_.reason;
+      active_ = Executor::Interp;
+    }
   }
-  jit::prepare_kernels(feasible, spec().name, toolchain_);
-}
-
-// ---- IsolatedJitBackend -----------------------------------------------------
-
-IsolatedJitBackend::IsolatedJitBackend(GpuSpec spec,
-                                       IsolatedJitBackendOptions options)
-    : opt_(std::move(options)),
-      fallback_(std::move(spec),
-                JitBackendOptions{opt_.warmup, opt_.repeats, opt_.trim_fraction,
-                                  opt_.data_seed, opt_.clock,
-                                  opt_.memo_limits}),
-      toolchain_(jit::detect_toolchain()), state_(opt_.memo_limits) {
-  opt_.warmup = std::max(opt_.warmup, 0);
-  opt_.repeats = std::max(opt_.repeats, 1);
-  opt_.trim_fraction = std::clamp(opt_.trim_fraction, 0.0, 0.49);
-  const sandbox::Availability avail = sandbox::availability();
-  if (opt_.disable_sandbox) {
-    inactive_reason_ = "sandbox disabled by backend options";
-  } else if (!avail.ok) {
-    inactive_reason_ = avail.reason;
-  } else if (!toolchain_.ok()) {
-    // No toolchain means no artifact to hand a worker; the fallback
-    // degrades further to the interpreter on its own.
-    inactive_reason_ = toolchain_.reason;
-  } else {
+  if (active_ == Executor::Worker) {
     pool_ = std::make_unique<sandbox::WorkerPool>(opt_.pool);
   }
 }
 
-KernelMeasurement IsolatedJitBackend::measure(
-    const Schedule& s, const MeasureOptions& options) const {
-  if (pool_ == nullptr) return fallback_.measure(s, options);
+std::string_view ExecBackend::name() const noexcept {
+  switch (opt_.executor) {
+    case Executor::Jit:
+      return "jit";
+    case Executor::Worker:
+      return "jit-isolated";
+    case Executor::Interp:
+    default:
+      return "interp";
+  }
+}
 
+double ExecBackend::sample(const std::function<void()>& run) const {
+  for (int i = 0; i < opt_.warmup; ++i) run();
+  std::vector<double> samples(static_cast<std::size_t>(opt_.repeats));
+  for (double& sample : samples) {
+    const double t0 = opt_.clock();
+    run();
+    sample = opt_.clock() - t0;
+  }
+  return trimmed_mean(std::move(samples), opt_.trim_fraction);
+}
+
+KernelMeasurement ExecBackend::measure(const Schedule& s,
+                                       const MeasureOptions& options) const {
   KernelMeasurement m;
   const detail::ExecMeasureState::Gate gate = state_.gate(s, spec());
   m.n_blocks = gate.n_blocks;
   m.smem_bytes = gate.smem_bytes;
   if (!gate.ok) {
     m.fail_reason = gate.fail_reason;
-    m.fail_kind = MeasureFailKind::Generic;
+    // Only the worker path classifies gate failures; the in-process
+    // paths leave None, which the tuner reads as Generic.
+    if (active_ == Executor::Worker) m.fail_kind = MeasureFailKind::Generic;
     return m;
   }
 
-  // Resolve the on-disk artifact (compiling at most once) WITHOUT
-  // loading it into this process; a compile failure degrades to the
-  // in-process path, which reports it the way the jit backend always has.
-  jit::KernelArtifact art = jit::resolve_artifact(s, spec().name, toolchain_);
-  if (!art.ok()) {
-    // Same policy as the in-process backend: a verify-gate rejection must
-    // not degrade to a path that executes the unsafe kernel anyway.
-    if (art.error.rfind(verify::kGateErrorPrefix, 0) == 0) {
-      m.fail_reason = std::move(art.error);
-      m.fail_kind = MeasureFailKind::VerifyRejected;
-      return m;
-    }
-    return fallback_.measure(s, options);
+  std::string err;
+  jit::ResolvedKernel rk;
+  if (active_ == Executor::Worker) {
+    // Resolve the on-disk artifact (compiling at most once) WITHOUT
+    // loading it into this process.
+    const jit::KernelArtifact art =
+        jit::resolve_artifact(s, spec().name, toolchain_);
+    if (art.ok()) return run_in_worker(s, art, options, std::move(m));
+    err = art.error;
+  } else if (active_ == Executor::Jit) {
+    // `rk.module` lives on this frame across all samples: a concurrent
+    // registry eviction cannot unmap the code mid-measurement.
+    rk = jit::resolve_kernel(s, spec().name, toolchain_, &err);
+  }
+  // A verifier rejection is a property of the schedule, not of the
+  // toolchain: degrading to the interpreter would happily "measure" a
+  // kernel the gate just proved unsafe to compile.  Fail it instead.  Any
+  // other (negative-cached) compile failure degrades to the interpreter
+  // so measure() always answers.
+  if (err.rfind(verify::kGateErrorPrefix, 0) == 0) {
+    m.fail_reason = std::move(err);
+    m.fail_kind = MeasureFailKind::VerifyRejected;
+    return m;
   }
 
+  const auto data = state_.data(s.chain(), opt_.data_seed);
+  const ChainSpec& chain = s.chain();
+  Tensor out(Shape{chain.batch(), chain.m(), chain.inner().back()});
+  if (rk.ok()) {
+    // Per-call scratch (concurrent measure() calls stay independent),
+    // reused across the warmup/repeat samples inside.
+    std::vector<std::vector<float>> scratch;
+    m.time_s = sample([&] {
+      jit::run_compiled(rk.fn, s, data->a, data->weights, out, scratch,
+                        options.exec_threads);
+    });
+  } else {
+    const Interpreter interp(s);
+    m.time_s = sample([&] { (void)interp.run(data->a, data->weights, out); });
+  }
+  m.ok = true;
+  return m;
+}
+
+KernelMeasurement ExecBackend::run_in_worker(const Schedule& s,
+                                             const jit::KernelArtifact& art,
+                                             const MeasureOptions& options,
+                                             KernelMeasurement m) const {
   // Crash negative-cache: a kernel that already killed (or hung) a
   // worker is answered from the cache — no process is spawned for it
   // ever again.
@@ -375,7 +303,7 @@ KernelMeasurement IsolatedJitBackend::measure(
   req.batch = chain.batch();
   req.m = chain.m();
   req.inner = chain.inner();
-  req.n_blocks = gate.n_blocks;
+  req.n_blocks = m.n_blocks;
   req.scratch_floats = cpp_kernel_scratch_floats(s);
   req.warmup = opt_.warmup;
   req.repeats = opt_.repeats;
@@ -404,36 +332,30 @@ KernelMeasurement IsolatedJitBackend::measure(
       return m;
     case sandbox::RunOutcome::Failed:
       // Structured worker-side failure (garbage output, unhealable load
-      // failure): negative-cache it — re-running cannot help.
-      sandbox::crash_cache_insert(req.key, MeasureFailKind::Generic, r.reason);
-      m.fail_reason = r.reason;
+      // failure).
       m.fail_kind = MeasureFailKind::Generic;
-      return m;
+      break;
     case sandbox::RunOutcome::TimedOut:
-      sandbox::crash_cache_insert(req.key, MeasureFailKind::WorkerTimeout,
-                                  r.reason);
-      m.fail_reason = r.reason;
       m.fail_kind = MeasureFailKind::WorkerTimeout;
-      return m;
+      break;
     case sandbox::RunOutcome::Crashed:
     default:
-      sandbox::crash_cache_insert(req.key, MeasureFailKind::WorkerCrashed,
-                                  r.reason);
-      m.fail_reason = r.reason;
       m.fail_kind = MeasureFailKind::WorkerCrashed;
-      return m;
+      break;
   }
+  // Negative-cache every failure: a structured failure cannot heal by
+  // re-running, crashes were already retried (pool.max_retries), and a
+  // hung kernel would burn another full deadline.
+  sandbox::crash_cache_insert(req.key, m.fail_kind, r.reason);
+  m.fail_reason = std::move(r.reason);
+  return m;
 }
 
-void IsolatedJitBackend::prepare_batch(
-    std::span<const Schedule* const> schedules,
-    const MeasureOptions& options) const {
-  if (pool_ == nullptr) {
-    fallback_.prepare_batch(schedules, options);
-    return;
-  }
-  // Same wave-batched compilation as the jit backend; the workers then
-  // dlopen the cached artifacts (one mmap per TU per worker).
+void ExecBackend::prepare_batch(std::span<const Schedule* const> schedules,
+                                const MeasureOptions& /*options*/) const {
+  if (active_ == Executor::Interp) return;
+  // Only schedules that pass the lowering gate are worth compiling (the
+  // paper's quadrant-II candidates never reach execution).
   std::vector<const Schedule*> feasible;
   feasible.reserve(schedules.size());
   for (const Schedule* s : schedules) {
@@ -574,17 +496,19 @@ BackendRegistry::BackendRegistry() {
     return std::make_shared<SimulatorBackend>(gpu);
   };
   factories_["interp"] = [](const GpuSpec& gpu) {
-    return std::make_shared<InterpreterBackend>(gpu);
+    return std::make_shared<ExecBackend>(gpu);
   };
   factories_["cached-sim"] = [](const GpuSpec& gpu) {
     return std::make_shared<CachingBackend>(
         std::make_shared<SimulatorBackend>(gpu));
   };
   factories_["jit"] = [](const GpuSpec& gpu) {
-    return std::make_shared<JitBackend>(gpu);
+    return std::make_shared<ExecBackend>(
+        gpu, ExecBackendOptions{.executor = Executor::Jit});
   };
   factories_["jit-isolated"] = [](const GpuSpec& gpu) {
-    return std::make_shared<IsolatedJitBackend>(gpu);
+    return std::make_shared<ExecBackend>(
+        gpu, ExecBackendOptions{.executor = Executor::Worker});
   };
 }
 

@@ -4,25 +4,21 @@
 // A MeasureBackend answers one question — "how long does this candidate
 // schedule take?" — and the tuner, the library-kernel baselines and the
 // benches consume the abstraction instead of holding a TimingSimulator
-// directly.  Three backends ship:
+// directly.  Built-in registry names:
 //
-//   * SimulatorBackend    wraps the deterministic TimingSimulator; the
-//                         default everywhere, bit-for-bit identical to the
-//                         pre-subsystem behaviour.
-//   * InterpreterBackend  actually executes the schedule through
-//                         exec/interpreter on the CPU (worker-slot arenas)
-//                         and converts wall-clock samples into a
-//                         KernelMeasurement with warm-up / repeat /
-//                         outlier-trim controls.
-//   * CachingBackend      decorator over any backend; memoizes by
-//                         (chain key, gpu, schedule structure, tiles) and
-//                         persists through the TuningCache serialization.
-//   * JitBackend          compiles each candidate to real machine code
-//                         through exec/jit (host-toolchain JIT, digest-
-//                         keyed kernel cache, batched per-wave TUs) and
-//                         wall-clock-samples the native kernel; falls
-//                         back to interpreter execution when no host
-//                         compiler is available.
+//   * "sim"           SimulatorBackend: the deterministic TimingSimulator;
+//                     the default everywhere, bit-for-bit identical to the
+//                     pre-subsystem behaviour.
+//   * "interp", "jit", "jit-isolated"
+//                     ExecBackend: actually executes the schedule (CPU
+//                     interpreter, native jit kernel in process, or native
+//                     kernel in a crash-isolated worker) and converts
+//                     wall-clock samples into a KernelMeasurement with
+//                     warm-up / repeat / outlier-trim controls.
+//   * "cached-sim"    CachingBackend over "sim"; the decorator memoizes
+//                     any backend by (chain key, gpu, schedule structure,
+//                     tiles) and persists through the TuningCache
+//                     serialization.
 //
 // Every backend must honour the contract pinned by the conformance suite
 // (tests/measure/test_conformance.cpp, documented in docs/measurement.md):
@@ -132,13 +128,12 @@ class SimulatorBackend : public MeasureBackend {
   TimingSimulator sim_;
 };
 
-// ---- shared state of the execution-based backends ---------------------------
+// ---- ExecBackend's memos ----------------------------------------------------
 
 namespace detail {
 
-/// What the execution-based backends (interp, jit) memoize per backend
-/// instance so repeated measure() calls of the same candidate skip the
-/// lowering work:
+/// What ExecBackend memoizes per instance so repeated measure() calls of
+/// the same candidate skip the lowering work:
 ///
 ///   * the lowering gate (validity, consume-completeness, smem plan) —
 ///     keyed by schedule_structure_digest, which already folds the chain
@@ -205,9 +200,19 @@ class ExecMeasureState {
 
 }  // namespace detail
 
-// ---- InterpreterBackend -----------------------------------------------------
+// ---- ExecBackend ------------------------------------------------------------
 
-struct InterpreterBackendOptions {
+/// Who executes the candidate inside ExecBackend::measure().
+enum class Executor : std::uint8_t {
+  Interp,  ///< exec/interpreter, in process                   ("interp")
+  Jit,     ///< native code from exec/jit, in process          ("jit")
+  Worker,  ///< native code in a sandbox worker (exec/sandbox) ("jit-isolated")
+};
+
+struct ExecBackendOptions {
+  /// The requested executor; the live one may be degraded (see
+  /// ExecBackend::active_executor()).
+  Executor executor = Executor::Interp;
   /// Untimed executions before sampling (first-touch page faults, arena
   /// allocation, cache warm-up).
   int warmup = 1;
@@ -220,164 +225,46 @@ struct InterpreterBackendOptions {
   /// Seed for the deterministic random tensor contents.
   std::uint64_t data_seed = 1;
   /// Monotonic time source in seconds.  Null = std::chrono::steady_clock.
-  /// Tests inject a scripted clock to pin the sampling arithmetic.
-  std::function<double()> clock;
+  /// Tests inject a scripted clock to pin the sampling arithmetic; it
+  /// reaches only the in-process executors (workers time with their own
+  /// steady clock).
+  std::function<double()> clock{};
   /// LRU caps on the lowering-gate / input-tensor memos (bounded RSS
   /// under unbounded distinct-chain traffic); see ExecMeasureState.
-  detail::ExecMeasureState::Limits memo_limits;
-};
-
-/// Executes the candidate on the CPU through exec/interpreter and times it.
-/// The absolute times are CPU-interpreter times, not GPU times — useful
-/// because they *rank* candidates by real executed work (the conformance
-/// suite asserts rank correlation against the simulator on the fig7
-/// family), and because this is the template a CUDA-event backend follows.
-class InterpreterBackend : public MeasureBackend {
- public:
-  explicit InterpreterBackend(GpuSpec spec,
-                              InterpreterBackendOptions options = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "interp"; }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override { return sim_.spec(); }
-  /// Wall-clock sampling: repeats jitter run-to-run.
-  [[nodiscard]] bool deterministic() const noexcept override { return false; }
-
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override;
-  [[nodiscard]] KernelMeasurement measure_raw(
-      double bytes, double flops, std::int64_t n_blocks,
-      std::int64_t smem_bytes, double mem_eff, double comp_eff,
-      double stmt_trips, const MeasureOptions& options) const override {
-    // No schedule to execute: raw aggregates fall back to the roofline.
-    return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                            comp_eff, stmt_trips, options);
-  }
-
-  /// measure() executes the schedule as-is; the simulator-noise options
-  /// do not reach it.
-  [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions&) const noexcept override {
-    return 0;
-  }
-
-  [[nodiscard]] const InterpreterBackendOptions& options() const noexcept {
-    return opt_;
-  }
-
- private:
-  TimingSimulator sim_;  ///< spec holder + measure_raw fallback
-  InterpreterBackendOptions opt_;
-  /// Digest-keyed lowering memo + shared input tensors: repeat-tile
-  /// measure() calls skip straight to execution.  LRU-bounded by
-  /// opt_.memo_limits.
-  detail::ExecMeasureState state_;
-};
-
-// ---- JitBackend -------------------------------------------------------------
-
-/// Sampling knobs mirror InterpreterBackendOptions; the jit backend times
-/// the natively compiled kernel instead of the interpreter.
-struct JitBackendOptions {
-  int warmup = 1;
-  int repeats = 3;
-  double trim_fraction = 0.25;
-  std::uint64_t data_seed = 1;
-  /// Monotonic time source in seconds (tests inject a scripted clock).
-  std::function<double()> clock;
-  /// LRU caps on the lowering-gate / input-tensor memos (bounded RSS
-  /// under unbounded distinct-chain traffic); see ExecMeasureState.
-  detail::ExecMeasureState::Limits memo_limits;
-};
-
-/// Compiles every candidate schedule to real machine code through the
-/// exec/jit subsystem (host toolchain, -O3 -march=native, digest-keyed
-/// on-disk kernel cache) and wall-clock-samples the native kernel — the
-/// CPU-host realisation of the paper's "lower to Triton/PTX, then
-/// measure" path.  prepare_batch() compiles a whole tuner wave in one
-/// compiler invocation.  When no host compiler is available (or under
-/// sanitizer builds) every measure() transparently falls back to
-/// interpreter execution, so the backend always satisfies the
-/// conformance contract; jit_active() tells which path is live.
-class JitBackend : public MeasureBackend {
- public:
-  explicit JitBackend(GpuSpec spec, JitBackendOptions options = {});
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "jit"; }
-  [[nodiscard]] const GpuSpec& spec() const noexcept override { return sim_.spec(); }
-  /// Wall-clock sampling: repeats jitter run-to-run.
-  [[nodiscard]] bool deterministic() const noexcept override { return false; }
-
-  [[nodiscard]] KernelMeasurement measure(
-      const Schedule& s, const MeasureOptions& options = {}) const override;
-  /// One TU / compiler invocation for all missing kernels of the wave.
-  void prepare_batch(std::span<const Schedule* const> schedules,
-                     const MeasureOptions& options = {}) const override;
-  [[nodiscard]] KernelMeasurement measure_raw(
-      double bytes, double flops, std::int64_t n_blocks,
-      std::int64_t smem_bytes, double mem_eff, double comp_eff,
-      double stmt_trips, const MeasureOptions& options) const override {
-    // No schedule to execute: raw aggregates fall back to the roofline.
-    return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                            comp_eff, stmt_trips, options);
-  }
-  /// measure() executes the schedule as-is; simulator-noise options do
-  /// not reach it.  exec_threads DOES change the measured wall time, so
-  /// it folds into the digest — a cache layered over this backend must
-  /// never serve a 1-thread time for an 8-thread request.
-  [[nodiscard]] std::uint64_t options_digest(
-      const MeasureOptions& options) const noexcept override {
-    return options.exec_threads > 0
-               ? hash_combine(0x6d63662d6a69746dull,
-                              static_cast<std::uint64_t>(options.exec_threads))
-               : 0;
-  }
-
-  /// True when a host toolchain was detected at construction and
-  /// measure() runs native code; false = interpreter fallback.
-  [[nodiscard]] bool jit_active() const noexcept { return toolchain_.ok(); }
-  /// Why the jit is inactive (empty when jit_active()).
-  [[nodiscard]] const std::string& fallback_reason() const noexcept {
-    return toolchain_.reason;
-  }
-  [[nodiscard]] const JitBackendOptions& options() const noexcept {
-    return opt_;
-  }
-
- private:
-  TimingSimulator sim_;  ///< spec holder + measure_raw fallback
-  JitBackendOptions opt_;
-  /// Resolved once at construction (tests override MCFUSER_JIT_CXX per
-  /// instance); !ok() => permanent interpreter fallback.
-  jit::Toolchain toolchain_;
-  detail::ExecMeasureState state_;
-};
-
-// ---- IsolatedJitBackend -----------------------------------------------------
-
-/// Sampling knobs mirror JitBackendOptions, plus the worker-pool policy.
-struct IsolatedJitBackendOptions {
-  int warmup = 1;
-  int repeats = 3;
-  double trim_fraction = 0.25;
-  std::uint64_t data_seed = 1;
-  /// Monotonic time source in seconds — reaches only the in-process
-  /// fallback path (worker timings use the worker's own steady clock).
-  std::function<double()> clock;
-  /// LRU caps on the lowering-gate memo; see ExecMeasureState.
-  detail::ExecMeasureState::Limits memo_limits;
-  /// Worker-pool sizing/deadline/retry policy; defaults read the
-  /// MCFUSER_SANDBOX_* environment.
+  detail::ExecMeasureState::Limits memo_limits{};
+  /// Worker-pool sizing/deadline/retry policy (Executor::Worker only);
+  /// defaults read the MCFUSER_SANDBOX_* environment.
   sandbox::PoolOptions pool = sandbox::default_pool_options();
-  /// Forces the in-process fallback even when sandboxing is available
-  /// (conformance tests pin the sampling arithmetic this way).
-  bool disable_sandbox = false;
 };
 
-/// Crash-isolated variant of the jit backend: kernels are compiled
-/// through the same digest-keyed cache, but EXECUTED inside sandbox
-/// worker processes (exec/sandbox.hpp), so a kernel that segfaults,
-/// loops forever or emits garbage fails its own measurement instead of
-/// taking down the engine.  Policy layered on the pool transport:
+/// Executes the candidate for real and wall-clock-samples it — the CPU-host
+/// realisation of the paper's "lower, run, time" measurement step.  One
+/// class serves all three execution registry names:
+///
+///   * "interp"        runs the schedule through exec/interpreter.  Its
+///                     times are CPU-interpreter times, not GPU times —
+///                     useful because they *rank* candidates by real
+///                     executed work (the conformance suite asserts rank
+///                     correlation against the simulator).
+///   * "jit"           compiles every candidate to machine code through
+///                     exec/jit (host toolchain, -O3 -march=native,
+///                     digest-keyed on-disk kernel cache; prepare_batch()
+///                     compiles a whole tuner wave in one invocation) and
+///                     times the native kernel in process.
+///   * "jit-isolated"  the same native kernels, EXECUTED inside sandbox
+///                     worker processes, so a kernel that segfaults, loops
+///                     forever or emits garbage fails its own measurement
+///                     instead of taking down the engine.
+///
+/// The degradation chain worker -> in-process jit -> interpreter is
+/// settled once, at construction: no sandbox (sanitizer build,
+/// MCFUSER_SANDBOX=0) drops Worker to Jit, no host toolchain drops Jit to
+/// Interp; active_executor() tells which path is live and
+/// fallback_reason() why it is not the requested one.  Per call:
+/// lowering gate -> native run (worker or in process) -> on any compile
+/// failure other than a verifier rejection, the interpreter — so measure()
+/// always answers.  The worker path layers its policy on the pool
+/// transport:
 ///
 ///   * crash negative-cache check before every run — a known-bad kernel
 ///     is answered from the cache without spawning anything;
@@ -387,21 +274,14 @@ struct IsolatedJitBackendOptions {
 ///     would burn another full deadline);
 ///   * a worker-side dlopen/dlsym failure means the cached .so is
 ///     poisoned: jit::invalidate_kernel + recompile + ONE retry before
-///     giving up (satellite of the disk cache's crash-consistency).
-///
-/// When sandboxing is unavailable (sanitizer build, MCFUSER_SANDBOX=0,
-/// no toolchain) every call degrades to an inner JitBackend — same
-/// gate, same interpreter fallback, so measure() always answers.
-class IsolatedJitBackend : public MeasureBackend {
+///     giving up.
+class ExecBackend : public MeasureBackend {
  public:
-  explicit IsolatedJitBackend(GpuSpec spec,
-                              IsolatedJitBackendOptions options = {});
+  explicit ExecBackend(GpuSpec spec, ExecBackendOptions options = {});
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "jit-isolated";
-  }
+  [[nodiscard]] std::string_view name() const noexcept override;
   [[nodiscard]] const GpuSpec& spec() const noexcept override {
-    return fallback_.spec();
+    return sim_.spec();
   }
   /// Wall-clock sampling: repeats jitter run-to-run.
   [[nodiscard]] bool deterministic() const noexcept override { return false; }
@@ -409,53 +289,63 @@ class IsolatedJitBackend : public MeasureBackend {
   [[nodiscard]] KernelMeasurement measure(
       const Schedule& s, const MeasureOptions& options = {}) const override;
   /// One TU / compiler invocation for all missing kernels of the wave
-  /// (the workers then dlopen the cached artifacts).
+  /// (workers then dlopen the cached artifacts); a no-op on the
+  /// interpreter.
   void prepare_batch(std::span<const Schedule* const> schedules,
                      const MeasureOptions& options = {}) const override;
   [[nodiscard]] KernelMeasurement measure_raw(
       double bytes, double flops, std::int64_t n_blocks,
       std::int64_t smem_bytes, double mem_eff, double comp_eff,
       double stmt_trips, const MeasureOptions& options) const override {
-    return fallback_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
-                                 comp_eff, stmt_trips, options);
+    // No schedule to execute: raw aggregates fall back to the roofline.
+    return sim_.measure_raw(bytes, flops, n_blocks, smem_bytes, mem_eff,
+                            comp_eff, stmt_trips, options);
   }
-  /// measure() executes the schedule as-is; simulator-noise options do
-  /// not reach it.  exec_threads DOES change the measured wall time
-  /// (the workers replay the host's fan-out geometry), so it folds into
-  /// the digest like JitBackend's.
+  /// measure() executes the schedule as-is; the simulator-noise options
+  /// do not reach it.  exec_threads DOES change native wall time (workers
+  /// replay the host's fan-out geometry), so the native executors fold it
+  /// into the digest — a cache layered over them must never serve a
+  /// 1-thread time for an 8-thread request.  Keyed on the requested
+  /// executor, so degradation never changes a persisted cache key.
   [[nodiscard]] std::uint64_t options_digest(
       const MeasureOptions& options) const noexcept override {
-    return options.exec_threads > 0
+    return opt_.executor != Executor::Interp && options.exec_threads > 0
                ? hash_combine(0x6d63662d6a69746dull,
                               static_cast<std::uint64_t>(options.exec_threads))
                : 0;
   }
 
-  /// True when measurements run in sandbox workers; false = in-process
-  /// jit/interp fallback.
-  [[nodiscard]] bool sandbox_active() const noexcept {
-    return pool_ != nullptr;
-  }
-  /// Why the sandbox is inactive (empty when sandbox_active()).
+  /// The executor measure() runs on after construction-time degradation.
+  [[nodiscard]] Executor active_executor() const noexcept { return active_; }
+  /// Why active_executor() differs from options().executor (empty when
+  /// they agree).
   [[nodiscard]] const std::string& fallback_reason() const noexcept {
-    return inactive_reason_;
+    return fallback_reason_;
   }
-  [[nodiscard]] const IsolatedJitBackendOptions& options() const noexcept {
+  [[nodiscard]] const ExecBackendOptions& options() const noexcept {
     return opt_;
   }
 
  private:
-  IsolatedJitBackendOptions opt_;
-  /// Degraded path AND the measure_raw/spec holder; owns its own memos.
-  JitBackend fallback_;
-  /// Resolved once at construction, like JitBackend.
+  /// Warm-up / repeat / trimmed-mean wall-clock sampling of `run`.
+  [[nodiscard]] double sample(const std::function<void()>& run) const;
+  /// The sandboxed run of an already-resolved artifact.
+  [[nodiscard]] KernelMeasurement run_in_worker(
+      const Schedule& s, const jit::KernelArtifact& art,
+      const MeasureOptions& options, KernelMeasurement m) const;
+
+  TimingSimulator sim_;  ///< spec holder + measure_raw fallback
+  ExecBackendOptions opt_;
+  Executor active_ = Executor::Interp;
+  std::string fallback_reason_;
+  /// Resolved once at construction (tests override MCFUSER_JIT_CXX per
+  /// instance); only detected for the native executors.
   jit::Toolchain toolchain_;
-  std::string inactive_reason_;  ///< why pool_ is null (empty when active)
-  /// The worker pool; null when degraded to the in-process path.
-  std::unique_ptr<sandbox::WorkerPool> pool_;
-  /// Lowering-gate memo for the sandboxed path (the fallback's memos are
-  /// private to it).
+  /// Digest-keyed lowering memo + shared input tensors: repeat-tile
+  /// measure() calls skip straight to execution.
   detail::ExecMeasureState state_;
+  /// Live only when active_ == Executor::Worker.
+  std::unique_ptr<sandbox::WorkerPool> pool_;
 };
 
 // ---- CachingBackend ---------------------------------------------------------
@@ -527,8 +417,8 @@ class CachingBackend : public MeasureBackend {
 // ---- registry ---------------------------------------------------------------
 
 /// Name -> factory registry; the CLI's --backend flag and the conformance
-/// suite enumerate it.  Registration is thread-safe; built-ins ("sim",
-/// "interp", "cached-sim") self-register on first use.  A hardware
+/// suite enumerate it.  Registration is thread-safe; the built-ins listed
+/// in the header comment self-register on first use.  A hardware
 /// backend (CUDA events / rocprof) plugs in with one add() call — see
 /// docs/measurement.md.
 class BackendRegistry {

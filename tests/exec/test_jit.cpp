@@ -18,6 +18,7 @@
 #include "exec/program.hpp"
 #include "ir/expr.hpp"
 #include "measure/backend.hpp"
+#include "scoped_env.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mcf {
@@ -125,8 +126,8 @@ TEST(JitKernel, BatchCompilesOneTranslationUnitPerWave) {
   }
   GpuSpec gpu = a100();
   gpu.name = unique_key("batch-tu-test");
-  const JitBackend backend(gpu);
-  ASSERT_TRUE(backend.jit_active());
+  const ExecBackend backend(gpu, {.executor = Executor::Jit});
+  ASSERT_EQ(backend.active_executor(), Executor::Jit);
 
   const ChainSpec& c = gelu_chain();
   const Schedule s1 = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
@@ -159,11 +160,12 @@ TEST(JitBackend, FallsBackToInterpreterWhenCompilerMissing) {
   // Whatever the environment, a jit backend constructed while
   // MCFUSER_JIT_CXX points nowhere must degrade to the interpreter and
   // still satisfy the measurement contract.
-  ::setenv("MCFUSER_JIT_CXX", "/nonexistent/not-a-compiler", 1);
-  const JitBackend backend(a100());
-  ::unsetenv("MCFUSER_JIT_CXX");
+  const ExecBackend backend = [] {
+    const ScopedEnv cxx("MCFUSER_JIT_CXX", "/nonexistent/not-a-compiler");
+    return ExecBackend(a100(), {.executor = Executor::Jit});
+  }();
 
-  EXPECT_FALSE(backend.jit_active());
+  EXPECT_EQ(backend.active_executor(), Executor::Interp);
   EXPECT_FALSE(backend.fallback_reason().empty());
 
   const ChainSpec& c = gelu_chain();
@@ -213,7 +215,7 @@ TEST(CompiledKernel, NativeRunMatchesInterpreterRun) {
 }
 
 TEST(JitBackend, InfeasibleScheduleFailsBeforeCompilation) {
-  const JitBackend backend(a100());
+  const ExecBackend backend(a100(), {.executor = Executor::Jit});
   static const ChainSpec c =
       ChainSpec::gemm_chain("jit-too-big", 1, 512, 512, 256, 256);
   const Schedule s =
@@ -242,23 +244,23 @@ TEST(JitCompile, TimeoutKillsHungCompiler) {
     os << "#!/bin/sh\nsleep 600\n";
   }
   ::chmod(script.c_str(), 0755);
-  ::setenv("MCFUSER_JIT_CXX", script.c_str(), 1);
-  ::setenv("MCFUSER_JIT_COMPILE_TIMEOUT_S", "1", 1);
 
   const ChainSpec& c = gelu_chain();
   const Schedule s = build_schedule(c, make_deep_expr(c, {0, 3, 2, 1}),
                                     std::vector<std::int64_t>{32, 16, 32, 16});
   const auto t0 = std::chrono::steady_clock::now();
   std::string error;
-  const jit::ResolvedKernel rk =
-      jit::resolve_kernel(s, unique_key("hung-cxx"), jit::detect_toolchain(),
-                          &error);
+  jit::ResolvedKernel rk;
+  {
+    const ScopedEnv cxx("MCFUSER_JIT_CXX", script);
+    const ScopedEnv timeout("MCFUSER_JIT_COMPILE_TIMEOUT_S", "1");
+    rk = jit::resolve_kernel(s, unique_key("hung-cxx"), jit::detect_toolchain(),
+                             &error);
+  }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  ::unsetenv("MCFUSER_JIT_CXX");
-  ::unsetenv("MCFUSER_JIT_COMPILE_TIMEOUT_S");
   ::unlink(script.c_str());
 
   EXPECT_FALSE(rk.ok());

@@ -25,6 +25,7 @@
 #include "exec/program.hpp"
 #include "gpu/spec.hpp"
 #include "ir/expr.hpp"
+#include "scoped_env.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mcf {
@@ -83,27 +84,22 @@ struct InputSet {
 /// the user-level cache) and restores the environment on destruction.
 class ScopedCacheDir {
  public:
-  ScopedCacheDir() {
-    char tmpl[] = "/tmp/mcf-jit-lifecycle-XXXXXX";
-    char* got = ::mkdtemp(tmpl);
-    dir_ = (got != nullptr) ? got : "/tmp";
-    if (const char* old = std::getenv("MCFUSER_JIT_CACHE_DIR")) old_ = old;
-    ::setenv("MCFUSER_JIT_CACHE_DIR", dir_.c_str(), 1);
-  }
+  ScopedCacheDir() : dir_(make_dir()), env_("MCFUSER_JIT_CACHE_DIR", dir_) {}
   ~ScopedCacheDir() {
-    if (old_.empty()) {
-      ::unsetenv("MCFUSER_JIT_CACHE_DIR");
-    } else {
-      ::setenv("MCFUSER_JIT_CACHE_DIR", old_.c_str(), 1);
-    }
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
  private:
+  static std::string make_dir() {
+    char tmpl[] = "/tmp/mcf-jit-lifecycle-XXXXXX";
+    char* got = ::mkdtemp(tmpl);
+    return (got != nullptr) ? got : "/tmp";
+  }
+
   std::string dir_;
-  std::string old_;
+  ScopedEnv env_;
 };
 
 /// Every tu_*.so currently published in `dir`.

@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -32,6 +31,7 @@
 #include "exec/program.hpp"
 #include "ir/expr.hpp"
 #include "measure/backend.hpp"
+#include "scoped_env.hpp"
 #include "search/tuning_cache.hpp"
 #include "support/framing.hpp"
 
@@ -74,29 +74,6 @@ GpuSpec unique_gpu(const char* prefix) {
   return g;
 }
 
-/// Sets an environment variable for the enclosing scope, restoring the
-/// previous value (or absence) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    if (const char* old = ::getenv(name)) old_ = old;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
 /// Empty when sandboxed measurement can run here; otherwise why not
 /// (sanitizer build, no toolchain, ...) — tests GTEST_SKIP on it.
 std::string sandbox_skip_reason() {
@@ -107,9 +84,9 @@ std::string sandbox_skip_reason() {
   return "";
 }
 
-IsolatedJitBackendOptions fast_options(double deadline_s = 10.0,
-                                       int max_retries = 1) {
-  IsolatedJitBackendOptions opt;
+ExecBackendOptions fast_options(double deadline_s = 10.0,
+                                int max_retries = 1) {
+  ExecBackendOptions opt{.executor = Executor::Worker};
   opt.warmup = 1;
   opt.repeats = 2;
   opt.pool.workers = 1;
@@ -198,12 +175,13 @@ TEST(Sandbox, WorkerRefusesOversizedFrameWithDistinctReason) {
 }
 
 TEST(Sandbox, BackendDegradesToInProcessPathWhenDisabled) {
-  // disable_sandbox (and equally an unavailable environment) must leave
-  // a backend that still satisfies the measurement contract.
-  IsolatedJitBackendOptions opt;
-  opt.disable_sandbox = true;
-  const IsolatedJitBackend backend(unique_gpu("sbx-off"), opt);
-  EXPECT_FALSE(backend.sandbox_active());
+  // MCFUSER_SANDBOX=0 (and equally an unavailable environment) must
+  // leave a backend that still satisfies the measurement contract.
+  const ExecBackend backend = [] {
+    const ScopedEnv off("MCFUSER_SANDBOX", "0");
+    return ExecBackend(unique_gpu("sbx-off"), {.executor = Executor::Worker});
+  }();
+  EXPECT_NE(backend.active_executor(), Executor::Worker);
   EXPECT_FALSE(backend.fallback_reason().empty());
   const Schedule s = schedule_for(gelu_chain());
   const KernelMeasurement m = backend.measure(s);
@@ -218,9 +196,9 @@ TEST(Sandbox, SandboxedTimingsAgreeWithInProcessJit) {
     GTEST_SKIP() << why;
   }
   const GpuSpec gpu = unique_gpu("sbx-agree");
-  const IsolatedJitBackend iso(gpu, fast_options());
-  ASSERT_TRUE(iso.sandbox_active()) << iso.fallback_reason();
-  const JitBackend inproc(gpu);
+  const ExecBackend iso(gpu, fast_options());
+  ASSERT_EQ(iso.active_executor(), Executor::Worker) << iso.fallback_reason();
+  const ExecBackend inproc(gpu, {.executor = Executor::Jit});
 
   const Schedule small = schedule_for(gelu_chain());
   const Schedule big = schedule_for(big_chain());
@@ -254,7 +232,7 @@ TEST(Sandbox, SegfaultingKernelIsClassifiedWithSignalName) {
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "segv");
   const sandbox::WorkerStats before = sandbox::stats_snapshot();
-  const IsolatedJitBackend backend(unique_gpu("sbx-segv"), fast_options());
+  const ExecBackend backend(unique_gpu("sbx-segv"), fast_options());
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::WorkerCrashed);
@@ -271,7 +249,7 @@ TEST(Sandbox, SigkilledWorkerIsClassified) {
     GTEST_SKIP() << why;
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "kill");
-  const IsolatedJitBackend backend(unique_gpu("sbx-kill"), fast_options());
+  const ExecBackend backend(unique_gpu("sbx-kill"), fast_options());
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::WorkerCrashed);
@@ -284,8 +262,8 @@ TEST(Sandbox, HungKernelIsKilledAtTheDeadline) {
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "hang");
   const sandbox::WorkerStats before = sandbox::stats_snapshot();
-  const IsolatedJitBackend backend(unique_gpu("sbx-hang"),
-                                   fast_options(/*deadline_s=*/0.5));
+  const ExecBackend backend(unique_gpu("sbx-hang"),
+                            fast_options(/*deadline_s=*/0.5));
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::WorkerTimeout);
@@ -300,7 +278,7 @@ TEST(Sandbox, GarbageOutputFailsTheMeasurement) {
     GTEST_SKIP() << why;
   }
   const ScopedEnv fault("MCFUSER_JIT_FAULT", "garbage");
-  const IsolatedJitBackend backend(unique_gpu("sbx-garbage"), fast_options());
+  const ExecBackend backend(unique_gpu("sbx-garbage"), fast_options());
   const KernelMeasurement m = backend.measure(schedule_for(gelu_chain()));
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::Generic);
@@ -316,7 +294,7 @@ TEST(Sandbox, CrashNegativeCacheServesWithoutSpawningAndRetriesAfterEvict) {
   }
   const GpuSpec gpu = unique_gpu("sbx-negcache");
   const Schedule s = schedule_for(gelu_chain());
-  const IsolatedJitBackend backend(gpu, fast_options());
+  const ExecBackend backend(gpu, fast_options());
 
   {
     const ScopedEnv fault("MCFUSER_JIT_FAULT", "segv");
@@ -375,7 +353,7 @@ TEST(Sandbox, PoisonedKernelArtifactHealsViaEvictAndRecompile) {
   }
 
   const jit::CompileStats before = jit::stats_snapshot();
-  const IsolatedJitBackend backend(gpu, fast_options());
+  const ExecBackend backend(gpu, fast_options());
   const KernelMeasurement m = backend.measure(s);
   // The dlopen failure was healed in-line: evict, recompile once, retry.
   EXPECT_TRUE(m.ok) << m.fail_reason;

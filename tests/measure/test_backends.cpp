@@ -1,6 +1,7 @@
-// Backend-specific unit tests: the interpreter backend's sampling
-// arithmetic (scripted clock), the caching decorator's memoization and
-// persistence, the registry, and the schedule digest.  The cross-backend
+// Backend-specific unit tests: ExecBackend's sampling arithmetic on the
+// interpreter (scripted clock), the caching decorator's memoization and
+// persistence, the registry and its pinned options digests, and the
+// schedule digest.  The cross-backend
 // contract lives in test_conformance.cpp.
 #include "measure/backend.hpp"
 
@@ -9,7 +10,9 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <vector>
 
+#include "scoped_env.hpp"
 #include "search/space.hpp"
 
 namespace mcf {
@@ -63,14 +66,14 @@ class CountingBackend : public MeasureBackend {
   std::shared_ptr<const MeasureBackend> inner_;
 };
 
-// ---- InterpreterBackend -----------------------------------------------------
+// ---- ExecBackend on the interpreter ----------------------------------------
 
 TEST(InterpreterBackend, TrimmedMeanOfScriptedSamplesIsExact) {
   // Scripted sample durations 1, 2, 3, 4 ms; trim 0.25 of 4 samples drops
   // one from each end: the reported time is exactly mean(2ms, 3ms).
   auto now = std::make_shared<double>(0.0);
   auto tick = std::make_shared<int>(0);
-  InterpreterBackendOptions opt;
+  ExecBackendOptions opt;
   opt.warmup = 0;
   opt.repeats = 4;
   opt.trim_fraction = 0.25;
@@ -78,7 +81,7 @@ TEST(InterpreterBackend, TrimmedMeanOfScriptedSamplesIsExact) {
     if (++*tick % 2 == 0) *now += 1e-3 * (*tick / 2);
     return *now;
   };
-  const InterpreterBackend backend(a100(), opt);
+  const ExecBackend backend(a100(), opt);
   const KernelMeasurement m = backend.measure(small_schedule(a100()));
   ASSERT_TRUE(m.ok);
   EXPECT_DOUBLE_EQ(m.time_s, 2.5e-3);
@@ -87,7 +90,7 @@ TEST(InterpreterBackend, TrimmedMeanOfScriptedSamplesIsExact) {
 TEST(InterpreterBackend, WarmupRunsAreNotTimed) {
   auto clock_calls = std::make_shared<int>(0);
   auto now = std::make_shared<double>(0.0);
-  InterpreterBackendOptions opt;
+  ExecBackendOptions opt;
   opt.warmup = 3;
   opt.repeats = 2;
   opt.trim_fraction = 0.0;
@@ -95,7 +98,7 @@ TEST(InterpreterBackend, WarmupRunsAreNotTimed) {
     ++*clock_calls;
     return *now += 1e-3;
   };
-  const InterpreterBackend backend(a100(), opt);
+  const ExecBackend backend(a100(), opt);
   ASSERT_TRUE(backend.measure(small_schedule(a100())).ok);
   // Two clock reads per timed sample, none for the warm-up executions.
   EXPECT_EQ(*clock_calls, 2 * opt.repeats);
@@ -104,7 +107,7 @@ TEST(InterpreterBackend, WarmupRunsAreNotTimed) {
 TEST(InterpreterBackend, ReportsScheduleGeometry) {
   const GpuSpec gpu = a100();
   const Schedule s = small_schedule(gpu);
-  const InterpreterBackend backend(gpu);
+  const ExecBackend backend(gpu);
   const KernelMeasurement m = backend.measure(s);
   ASSERT_TRUE(m.ok);
   EXPECT_EQ(m.n_blocks, s.num_blocks());
@@ -114,7 +117,7 @@ TEST(InterpreterBackend, ReportsScheduleGeometry) {
 
 TEST(InterpreterBackend, MeasureRawFallsBackToRoofline) {
   const GpuSpec gpu = a100();
-  const InterpreterBackend interp(gpu);
+  const ExecBackend interp(gpu);
   const SimulatorBackend sim(gpu);
   MeasureOptions opts;
   opts.noise_amp = 0.0;
@@ -156,11 +159,11 @@ TEST(CachingBackend, OptionChurnStillHitsWhenInnerIgnoresOptions) {
   // it must hit across noise_seed changes — re-executing a schedule on
   // the CPU to get an identical answer is exactly what the cache is for.
   const GpuSpec gpu = a100();
-  InterpreterBackendOptions fast;
+  ExecBackendOptions fast;
   fast.warmup = 0;
   fast.repeats = 1;
   auto counting = std::make_shared<CountingBackend>(
-      std::make_shared<InterpreterBackend>(gpu, fast));
+      std::make_shared<ExecBackend>(gpu, fast));
   const CachingBackend cached(counting);
   const Schedule s = small_schedule(gpu);
   ASSERT_TRUE(cached.measure(s).ok);
@@ -296,11 +299,11 @@ TEST(ExecMeasureState, DataByteCapKeepsNewestEntry) {
 
 TEST(InterpreterBackend, HonoursMemoLimitsFromOptions) {
   const GpuSpec gpu = a100();
-  InterpreterBackendOptions opts;
+  ExecBackendOptions opts;
   opts.warmup = 0;
   opts.repeats = 1;
   opts.memo_limits.max_data_entries = 1;
-  const InterpreterBackend backend(gpu, opts);
+  const ExecBackend backend(gpu, opts);
   // Two distinct chains through a 1-entry input-tensor memo: both still
   // measure correctly (the memo is an optimisation, not a correctness
   // dependency).
@@ -324,6 +327,38 @@ TEST(BackendRegistry, CreatesBuiltinsAndRejectsUnknown) {
     EXPECT_EQ(backend->spec().name, gpu.name);
   }
   EXPECT_EQ(registry.create("cuda-events", gpu), nullptr);
+}
+
+TEST(BackendRegistry, OptionsDigestIsPinnedPerName) {
+  // Persisted CachingBackend keys embed options_digest(): changing a
+  // value here orphans every measurement cache saved to disk.  The
+  // interpreter ignores every option; the native executors key on
+  // exec_threads only, whether or not they degraded at construction.
+  const GpuSpec gpu = a100();
+  MeasureOptions full;  // exec_threads = 0: the whole pool
+  MeasureOptions serial;
+  serial.exec_threads = 1;
+  MeasureOptions eight;
+  eight.exec_threads = 8;
+  eight.noise_seed = 99;  // ignored by every execution backend
+  auto& registry = BackendRegistry::instance();
+  const auto interp = registry.create("interp", gpu);
+  for (const MeasureOptions& o : {full, serial, eight}) {
+    EXPECT_EQ(interp->options_digest(o), 0u);
+  }
+  std::vector<std::shared_ptr<MeasureBackend>> native = {
+      registry.create("jit", gpu), registry.create("jit-isolated", gpu)};
+  {
+    const ScopedEnv no_sandbox("MCFUSER_SANDBOX", "0");
+    native.push_back(registry.create("jit-isolated", gpu));
+  }
+  for (const auto& backend : native) {
+    EXPECT_EQ(backend->options_digest(full), 0u) << backend->name();
+    EXPECT_EQ(backend->options_digest(serial), 0x1ecab3d252d28e47ull)
+        << backend->name();
+    EXPECT_EQ(backend->options_digest(eight), 0x9f87328df12dd73aull)
+        << backend->name();
+  }
 }
 
 TEST(BackendRegistry, AddIsFirstComeFirstServed) {

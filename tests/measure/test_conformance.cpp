@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "gpu/smem.hpp"
+#include "scoped_env.hpp"
 #include "search/space.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -137,12 +138,12 @@ const BackendCase kCases[] = {
      [](const GpuSpec& g, int) { return registry_make("sim", g); }},
     {"interp", [](const GpuSpec& g) { return registry_make("interp", g); },
      [](const GpuSpec& g, int repeats) -> std::shared_ptr<MeasureBackend> {
-       InterpreterBackendOptions opt;
+       ExecBackendOptions opt;
        opt.repeats = repeats;
        opt.trim_fraction = 0.25;
        opt.warmup = 0;
        opt.clock = ScriptedClock{}.fn();
-       return std::make_shared<InterpreterBackend>(g, opt);
+       return std::make_shared<ExecBackend>(g, opt);
      }},
     {"cached-sim",
      [](const GpuSpec& g) { return registry_make("cached-sim", g); },
@@ -152,28 +153,29 @@ const BackendCase kCases[] = {
     // execution, so the contract holds in every environment.
     {"jit", [](const GpuSpec& g) { return registry_make("jit", g); },
      [](const GpuSpec& g, int repeats) -> std::shared_ptr<MeasureBackend> {
-       JitBackendOptions opt;
+       ExecBackendOptions opt{.executor = Executor::Jit};
        opt.repeats = repeats;
        opt.trim_fraction = 0.25;
        opt.warmup = 0;
        opt.clock = ScriptedClock{}.fn();
-       return std::make_shared<JitBackend>(g, opt);
+       return std::make_shared<ExecBackend>(g, opt);
      }},
     // Crash-isolated measurement in sandbox worker processes; degrades
     // to the in-process jit/interp path where sandboxing is unavailable.
-    // The sampling instance forces that fallback (disable_sandbox) so
-    // the scripted clock drives the arithmetic — worker-side timings use
-    // the worker's own steady clock, which a test cannot script.
+    // The sampling instance forces that fallback (MCFUSER_SANDBOX=0 at
+    // construction) so the scripted clock drives the arithmetic —
+    // worker-side timings use the worker's own steady clock, which a
+    // test cannot script.
     {"jit-isolated",
      [](const GpuSpec& g) { return registry_make("jit-isolated", g); },
      [](const GpuSpec& g, int repeats) -> std::shared_ptr<MeasureBackend> {
-       IsolatedJitBackendOptions opt;
+       ExecBackendOptions opt{.executor = Executor::Worker};
        opt.repeats = repeats;
        opt.trim_fraction = 0.25;
        opt.warmup = 0;
        opt.clock = ScriptedClock{}.fn();
-       opt.disable_sandbox = true;
-       return std::make_shared<IsolatedJitBackend>(g, opt);
+       const ScopedEnv no_sandbox("MCFUSER_SANDBOX", "0");
+       return std::make_shared<ExecBackend>(g, opt);
      }},
 };
 
@@ -306,11 +308,11 @@ TEST(MeasureBackendConformance, SimulatorAndInterpreterRankWorkloadsAlike) {
   // ranking; the per-chain candidate spread adds the fine structure.
   const GpuSpec gpu = a100();
   const SimulatorBackend sim(gpu);
-  InterpreterBackendOptions opt;
+  ExecBackendOptions opt;
   opt.warmup = 1;
   opt.repeats = 3;
   opt.trim_fraction = 0.34;  // median of three
-  const InterpreterBackend interp(gpu, opt);
+  const ExecBackend interp(gpu, opt);
 
   std::vector<double> sim_times;
   std::vector<double> interp_times;

@@ -7,7 +7,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "search/mcfuser.hpp"
+#include "engine/engine.hpp"
 
 namespace mcf {
 namespace {
@@ -171,7 +171,7 @@ TEST(TuningCache, LoadMissingFileFails) {
 
 TEST(TuningCache, FuseCachedSkipsTuningOnHit) {
   const GpuSpec gpu = a100();
-  const MCFuser fuser(gpu);
+  const FusionEngine fuser(gpu);
   TuningCache cache;
   const FusionResult first = fuser.fuse_cached(chain(), cache);
   ASSERT_TRUE(first.ok());
@@ -189,7 +189,7 @@ TEST(TuningCache, FuseCachedSkipsTuningOnHit) {
 
 TEST(TuningCache, StaleEntryFallsBackToTuning) {
   const GpuSpec gpu = a100();
-  const MCFuser fuser(gpu);
+  const FusionEngine fuser(gpu);
   TuningCache cache;
   // Poison the cache with tiles of the wrong arity.
   cache.put(chain(), gpu, CachedSchedule{"b0b3|2(1)", {64, 64}, 1e-6});

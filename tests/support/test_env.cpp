@@ -10,36 +10,10 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "scoped_env.hpp"
 
 namespace mcf {
 namespace {
-
-/// Sets an environment variable for one test, restoring on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 constexpr const char* kName = "MCFUSER_TEST_ENV_KNOB";
 

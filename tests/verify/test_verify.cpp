@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "gpu/spec.hpp"
 #include "ir/expr.hpp"
 #include "measure/backend.hpp"
+#include "scoped_env.hpp"
 #include "search/space.hpp"
 #include "verify/mutate.hpp"
 
@@ -214,11 +216,15 @@ TEST(Verify, StatementContextsCoverAllStatements) {
 }
 
 TEST(Verify, EnvKnobControlsGate) {
-  ::setenv("MCFUSER_VERIFY", "0", 1);
-  EXPECT_FALSE(verify::verify_enabled());
-  ::setenv("MCFUSER_VERIFY", "1", 1);
-  EXPECT_TRUE(verify::verify_enabled());
-  ::unsetenv("MCFUSER_VERIFY");
+  {
+    const ScopedEnv off("MCFUSER_VERIFY", "0");
+    EXPECT_FALSE(verify::verify_enabled());
+  }
+  {
+    const ScopedEnv on("MCFUSER_VERIFY", "1");
+    EXPECT_TRUE(verify::verify_enabled());
+  }
+  const ScopedEnv unset("MCFUSER_VERIFY", nullptr);
 #ifdef NDEBUG
   EXPECT_FALSE(verify::verify_enabled());
 #else
@@ -229,8 +235,10 @@ TEST(Verify, EnvKnobControlsGate) {
 // The jit refuses to hand an unsafe schedule to the compiler: resolve
 // fails with the "verify: " prefix and the measure backend surfaces
 // MeasureFailKind::VerifyRejected instead of silently degrading to the
-// interpreter.
-TEST(Verify, JitGateRefusesUnsafeKernels) {
+// interpreter — on the in-process path and on the worker path alike.
+class VerifyGate : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(VerifyGate, JitGateRefusesUnsafeKernels) {
   if (!jit::detect_toolchain().ok()) {
     GTEST_SKIP() << "jit unavailable: " << jit::detect_toolchain().reason;
   }
@@ -239,25 +247,33 @@ TEST(Verify, JitGateRefusesUnsafeKernels) {
   ASSERT_FALSE(corpus.empty());
   const Schedule& unsafe = corpus.front().schedule;
 
-  ::setenv("MCFUSER_VERIFY", "1", 1);
+  const ScopedEnv gate("MCFUSER_VERIFY", "1");
   std::string err;
   const jit::ResolvedKernel rk = jit::resolve_kernel(
       unsafe, "verify-gate-test", jit::detect_toolchain(), &err);
   EXPECT_FALSE(rk.ok());
   EXPECT_EQ(err.rfind(verify::kGateErrorPrefix, 0), 0u) << err;
 
-  const JitBackend backend(a100(), {});
-  const KernelMeasurement m = backend.measure(unsafe, {});
+  const auto backend = BackendRegistry::instance().create(GetParam(), a100());
+  ASSERT_NE(backend, nullptr);
+  const KernelMeasurement m = backend->measure(unsafe, {});
   EXPECT_FALSE(m.ok);
   EXPECT_EQ(m.fail_kind, MeasureFailKind::VerifyRejected) << m.fail_reason;
   EXPECT_EQ(m.fail_reason.rfind(verify::kGateErrorPrefix, 0), 0u)
       << m.fail_reason;
 
   // The safe base still compiles through the same gate.
-  const KernelMeasurement ok = backend.measure(base, {});
+  const KernelMeasurement ok = backend->measure(base, {});
   EXPECT_TRUE(ok.ok) << ok.fail_reason;
-  ::unsetenv("MCFUSER_VERIFY");
 }
+
+INSTANTIATE_TEST_SUITE_P(Verify, VerifyGate,
+                         ::testing::Values("jit", "jit-isolated"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace mcf

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Banned-pattern lint: greps src/ for primitives the codebase has
-# sanctioned wrappers for, so new code cannot quietly bypass them.
+# Banned-pattern lint: greps src/ (and tests/) for primitives the
+# codebase has sanctioned wrappers for, so new code cannot quietly
+# bypass them.
 #
 #   raw-mutex   std::mutex / std::recursive_mutex outside support/mutex —
 #               bare mutexes skip the capability annotations and the
@@ -11,6 +12,10 @@
 #   raw-popen   popen() outside exec/jit — pipes without a deadline;
 #               the jit's fork/exec pipeline is the sanctioned way to
 #               run a subprocess with a timeout
+#   raw-setenv  setenv()/unsetenv() in tests/ outside tests/scoped_env —
+#               a bare pair that unsets unconditionally wipes a
+#               caller-set knob for every later test in the binary;
+#               ScopedEnv restores the previous value
 #
 # Exceptions live in tools/lint_allowlist.txt ("<rule> <path>"), one
 # grant per file with a stated reason.  Run directly or via ctest
@@ -26,20 +31,21 @@ allowed() {  # allowed <rule> <file>
 }
 
 fail=0
-check() {  # check <rule> <extended-regex>
-  local rule="$1" pattern="$2" hit file
+check() {  # check <rule> <extended-regex> [dir (default src)]
+  local rule="$1" pattern="$2" dir="${3:-src}" hit file
   while IFS= read -r hit; do
     [[ -z "$hit" ]] && continue
     file="${hit%%:*}"
     if allowed "$rule" "$file"; then continue; fi
     echo "banned-pattern[$rule]: $hit" >&2
     fail=1
-  done < <(grep -rnE --include='*.cpp' --include='*.hpp' "$pattern" src || true)
+  done < <(grep -rnE --include='*.cpp' --include='*.hpp' "$pattern" "$dir" || true)
 }
 
 check raw-mutex  'std::(recursive_)?mutex'
 check raw-getenv '(std::)?getenv[[:space:]]*\('
 check raw-popen  '(^|[^_[:alnum:]])popen[[:space:]]*\('
+check raw-setenv '(^|[^_[:alnum:]])(un)?setenv[[:space:]]*\(' tests
 
 if [[ $fail -ne 0 ]]; then
   echo "check_banned_patterns.sh: FAILED — use the sanctioned wrapper or add" >&2

@@ -2,7 +2,7 @@
 //
 //   mcfuser fuse    --m 512 --n 256 --k 64 --h 64 [--batch N]
 //                   [--attention | --gelu | --relu] [--gpu a100|rtx3080]
-//                   [--backend=sim|interp|cached-sim]
+//                   [--backend=sim|interp|jit|jit-isolated|cached-sim]
 //                   [--isolation worker|none]
 //                   [--cache FILE] [--emit] [--pseudo] [--json]
 //   mcfuser fuse    --graph bert-small|bert-base|bert-large|mixer-small|
@@ -656,12 +656,10 @@ int cmd_serve(const Args& args) {
   sopt.request_timeout_s = args.dbl("request-timeout", 300.0);
   sopt.drain_deadline_s = args.dbl("drain-deadline", 10.0);
   net::FusionServer server(engine, sopt);
-  std::string err;
-  if (!server.start(&err)) {
-    std::fprintf(stderr, "mcfuser serve: %s\n", err.c_str());
-    return 1;
-  }
 
+  // Handlers go in BEFORE start() binds the socket: a client that sees
+  // the socket file may send SIGTERM at once, and that signal must drain
+  // (its byte waits in the pipe until the read below), not kill.
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "mcfuser serve: pipe: %s\n", std::strerror(errno));
     return 1;
@@ -671,6 +669,12 @@ int cmd_serve(const Args& args) {
   sigemptyset(&sa.sa_mask);
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
+
+  std::string err;
+  if (!server.start(&err)) {
+    std::fprintf(stderr, "mcfuser serve: %s\n", err.c_str());
+    return 1;
+  }
 
   if (!sopt.unix_path.empty()) {
     std::fprintf(stderr, "mcfuser serve: listening on unix:%s\n",

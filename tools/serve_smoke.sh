@@ -3,7 +3,9 @@
 # with concurrent client fuse requests, SIGTERM it mid-flood, and assert
 # (a) the drain exits 0 and (b) the EngineStats accounting identity
 # (submitted == completed + rejected + cancelled + deadline_exceeded)
-# survived — the server's --json exit report carries the verdict.
+# survived — the server's --json exit report carries the verdict.  A
+# second phase SIGTERMs a fresh server the instant its socket file
+# appears: the drain handlers must already be installed by then.
 #
 # Usage: serve_smoke.sh /path/to/mcfuser
 # Runs under ctest (tools_serve_smoke) in the Release and sanitizer CI
@@ -13,10 +15,12 @@ set -u
 BIN="${1:?usage: serve_smoke.sh /path/to/mcfuser}"
 SOCK="$(mktemp -u /tmp/mcf-smoke-XXXXXX).sock"
 OUT="$(mktemp /tmp/mcf-smoke-XXXXXX.json)"
+EARLY_SOCK="$(mktemp -u /tmp/mcf-smoke-XXXXXX).sock"
+EARLY_OUT="$(mktemp /tmp/mcf-smoke-XXXXXX.json)"
 
 cleanup() {
   [ -n "${SERVER:-}" ] && kill -9 "$SERVER" 2>/dev/null
-  rm -f "$SOCK" "$OUT"
+  rm -f "$SOCK" "$OUT" "$EARLY_SOCK" "$EARLY_OUT"
 }
 trap cleanup EXIT
 
@@ -65,6 +69,36 @@ if ! grep -q '"identity_ok":true' "$OUT"; then
 fi
 if [ -S "$SOCK" ]; then
   echo "FAIL: socket file not removed on drain"
+  exit 1
+fi
+
+# Early SIGTERM: poll without sleeping and signal the moment the socket
+# file exists — before any request, possibly before the listener loop
+# runs.  The server must still drain cleanly instead of dying.
+"$BIN" serve --socket "$EARLY_SOCK" --backend sim --json >"$EARLY_OUT" 2>/dev/null &
+SERVER=$!
+SECONDS=0
+until [ -S "$EARLY_SOCK" ]; do
+  kill -0 "$SERVER" 2>/dev/null || { echo "FAIL: early-signal server died before binding"; exit 1; }
+  [ "$SECONDS" -lt 10 ] || { echo "FAIL: early-signal server never bound $EARLY_SOCK"; exit 1; }
+done
+kill -TERM "$SERVER"
+wait "$SERVER"
+CODE=$?
+SERVER=""
+
+if [ "$CODE" -ne 0 ]; then
+  echo "FAIL: early SIGTERM exited $CODE (no drain)"
+  cat "$EARLY_OUT"
+  exit 1
+fi
+if ! grep -q '"identity_ok":true' "$EARLY_OUT"; then
+  echo "FAIL: no drain report after early SIGTERM"
+  cat "$EARLY_OUT"
+  exit 1
+fi
+if [ -S "$EARLY_SOCK" ]; then
+  echo "FAIL: socket file not removed after early SIGTERM"
   exit 1
 fi
 echo "serve smoke ok: $(cat "$OUT")"
