@@ -1,6 +1,7 @@
 #include "exec/jit.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -12,9 +13,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -218,11 +221,18 @@ struct CommandResult {
 /// wall-clock deadline: on expiry the whole process group is SIGKILLed
 /// and reaped (the child setpgid()s itself; both sides race-proof it).
 /// The popen() this replaces blocked in fgets with no way out.
+///
+/// The pipe is close-on-exec from birth: compiler shards and sandbox
+/// workers fork concurrently, and any of them inheriting this write end
+/// would hold the pipe open, so the read below would see EOF only when
+/// that unrelated process exits (or at the deadline).  The child also
+/// closes every descriptor above stderr, so the command inherits only
+/// stdio whatever else the host process has open.
 [[nodiscard]] CommandResult run_command_deadline(const std::string& cmd,
                                                  double deadline_s) {
   CommandResult r;
   int fds[2];
-  if (::pipe(fds) != 0) return r;
+  if (::pipe2(fds, O_CLOEXEC) != 0) return r;
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -233,8 +243,7 @@ struct CommandResult {
     ::setpgid(0, 0);
     ::dup2(fds[1], 1);
     ::dup2(fds[1], 2);
-    ::close(fds[0]);
-    ::close(fds[1]);
+    ::close_range(3, ~0U, 0);
     ::execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
     ::_exit(127);
   }
@@ -327,17 +336,19 @@ struct CommandResult {
   return ResolvedKernel{reinterpret_cast<KernelFn>(sym), std::move(module)};
 }
 
-/// One compiler invocation over `pending` (caller holds the compile
-/// mutex).  On success publishes entry points + per-kernel idx files
-/// and returns empty; on failure returns the diagnostic WITHOUT
+/// One compiler invocation over `pending`, run inside a compile round
+/// (compile_batch_tu holds the compile mutex; its shard threads call
+/// this concurrently over disjoint kernel sets and take only the
+/// registry lock).  On success publishes entry points + per-kernel idx
+/// files and returns empty; on failure returns the diagnostic WITHOUT
 /// touching the negative cache — the caller decides (a multi-kernel
-/// batch retries kernels individually first, so one broken kernel
-/// cannot poison its wave-mates).  All intermediate files carry a
+/// shard retries kernels individually first, so one broken kernel
+/// cannot poison its shard-mates).  All intermediate files carry a
 /// per-invocation unique suffix and are renamed into place, so
-/// concurrent PROCESSES sharing the cache directory never observe each
-/// other's partial writes.
-[[nodiscard]] std::string compile_tu_locked(
-    const std::vector<EmittedKernel>& pending, const Toolchain& tc) {
+/// concurrent shards and PROCESSES sharing the cache directory never
+/// observe each other's partial writes.
+[[nodiscard]] std::string compile_tu(const std::vector<EmittedKernel>& pending,
+                                     const Toolchain& tc) {
   Registry& reg = Registry::instance();
   std::string source = cpp_kernel_prelude();
   std::uint64_t tu_hash = kEmitterVersion;
@@ -438,33 +449,18 @@ struct CommandResult {
   return {};
 }
 
-/// Compiles all pending kernels in ONE translation unit / compiler
-/// invocation.  When a multi-kernel TU fails, its members recompile
-/// individually so only genuinely broken kernels get negative-cached —
-/// valid wave-mates must not silently degrade to the interpreter.
-///
-/// Concurrency: a process-wide mutex serializes compilation (two
-/// threads racing to compile the same key would otherwise clobber the
-/// shared TU paths and negative-cache a corrupted compile), and after
-/// taking it every already-resolved kernel is dropped from the batch.
-void compile_batch_tu(std::vector<EmittedKernel> pending, const Toolchain& tc) {
-  static Mutex compile_mu{"jit.compile"};
-  const LockGuard compile_lock(compile_mu);
+/// Compiles one shard: a single TU over all its kernels.  When a
+/// multi-kernel TU fails, its members recompile individually so only
+/// genuinely broken kernels get negative-cached — valid shard-mates must
+/// not silently degrade to the interpreter.
+void compile_shard(const std::vector<EmittedKernel>& shard, const Toolchain& tc) {
   Registry& reg = Registry::instance();
-  {
-    const LockGuard lock(reg.mu);
-    std::erase_if(pending, [&](const EmittedKernel& p) {
-      return reg.fns.contains(p.key) || reg.failed.contains(p.key);
-    });
-  }
-  if (pending.empty()) return;
-
-  std::string fail = compile_tu_locked(pending, tc);
+  std::string fail = compile_tu(shard, tc);
   if (fail.empty()) return;
-  if (pending.size() > 1) {
+  if (shard.size() > 1) {
     // Isolate the offender: one TU per kernel.
-    for (const EmittedKernel& p : pending) {
-      fail = compile_tu_locked({p}, tc);
+    for (const EmittedKernel& p : shard) {
+      fail = compile_tu({p}, tc);
       if (!fail.empty()) {
         const LockGuard lock(reg.mu);
         reg.stats.failures += 1;
@@ -476,8 +472,80 @@ void compile_batch_tu(std::vector<EmittedKernel> pending, const Toolchain& tc) {
   }
   const LockGuard lock(reg.mu);
   reg.stats.failures += 1;
-  (void)reg.failed.insert(pending.front().key, std::move(fail));
+  (void)reg.failed.insert(shard.front().key, std::move(fail));
   reg.sync_evictions_locked();
+}
+
+/// Splits `pending` into `n` shards of near-equal emitted-source size
+/// (compile time grows with it): kernels in (size desc, key asc) order,
+/// each to the shard with the least source so far, lowest index on
+/// ties.  The grouping depends only on the SET of kernels, so every cold
+/// run of a wave builds the same TUs whatever order the wave came in.
+[[nodiscard]] std::vector<std::vector<EmittedKernel>> shard_by_source_size(
+    std::vector<EmittedKernel> pending, std::size_t n) {
+  std::sort(pending.begin(), pending.end(),
+            [](const EmittedKernel& a, const EmittedKernel& b) {
+              if (a.code.size() != b.code.size()) {
+                return a.code.size() > b.code.size();
+              }
+              return a.key < b.key;
+            });
+  std::vector<std::vector<EmittedKernel>> shards(n);
+  std::vector<std::size_t> bytes(n, 0);
+  for (EmittedKernel& p : pending) {
+    const std::size_t i = static_cast<std::size_t>(
+        std::min_element(bytes.begin(), bytes.end()) - bytes.begin());
+    bytes[i] += p.code.size();
+    shards[i].push_back(std::move(p));
+  }
+  return shards;
+}
+
+/// Compiles all pending kernels as min(pending, pool concurrency)
+/// shards, one TU / compiler process each, run concurrently (shard 0 on
+/// the calling thread).  Each invocation keeps its own deadline, and a
+/// failure is isolated within its shard (compile_shard).
+///
+/// Concurrency: a process-wide mutex serializes compile ROUNDS (two
+/// threads racing to compile the same key would otherwise clobber the
+/// shared TU paths and negative-cache a corrupted compile), and after
+/// taking it every already-resolved kernel is dropped from the batch.
+/// Shard threads hold no lock of the round; they take only the
+/// registry lock, inside compile_tu.
+void compile_batch_tu(std::vector<EmittedKernel> pending, const Toolchain& tc) {
+  static Mutex compile_mu{"jit.compile"};
+  const LockGuard compile_lock(compile_mu);
+  Registry& reg = Registry::instance();
+  {
+    const LockGuard lock(reg.mu);
+    std::erase_if(pending, [&](const EmittedKernel& p) {
+      return reg.fns.contains(p.key) || reg.failed.contains(p.key);
+    });
+  }
+  const std::size_t n_shards = std::min<std::size_t>(
+      pending.size(), ThreadPool::global().concurrency());
+  if (n_shards == 0) return;
+  const std::vector<std::vector<EmittedKernel>> shards =
+      shard_by_source_size(std::move(pending), n_shards);
+  // A shard's exception is carried back and rethrown here, after every
+  // shard has finished, as a single-TU compile's would be.
+  std::vector<std::exception_ptr> errors(n_shards);
+  const auto run_shard = [&](std::size_t i) {
+    try {
+      compile_shard(shards[i], tc);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // joined at the end of the scope
+    threads.reserve(n_shards - 1);
+    for (std::size_t i = 1; i < n_shards; ++i) threads.emplace_back(run_shard, i);
+    run_shard(0);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 /// Host-side stale-artifact healing (the in-process mirror of the

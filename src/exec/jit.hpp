@@ -6,11 +6,13 @@
 // (constant extents, `__restrict`, SIMD pragmas); this file turns those
 // sources into runnable machine code:
 //
-//   * JitEngine (process-wide)  — batches many candidate kernels into ONE
-//     translation unit, shells out to the host compiler once per batch
-//     (`-O3 -march=native`, so the JIT'd code uses the full vector ISA
-//     even when the library itself is built generic), dlopen()s the
-//     resulting shared object and resolves per-candidate entry points.
+//   * batched compilation (process-wide) — splits a batch of candidate
+//     kernels into min(batch, pool concurrency) translation units of
+//     near-equal source size, runs one host-compiler process per TU
+//     concurrently (`-O3 -march=native`, so the JIT'd code uses the full
+//     vector ISA even when the library itself is built generic),
+//     dlopen()s the resulting shared objects and resolves per-candidate
+//     entry points.
 //   * digest-keyed on-disk cache — kernels are keyed by
 //     schedule_structure_digest (which already folds the tiles) + the gpu
 //     key + the emitted source + compile flags; a `<key>.idx` file maps
@@ -77,7 +79,7 @@ struct Toolchain {
 /// Process-wide compilation counters (monotonic; report deltas).
 /// Surfaced in GraphFusionReport::to_json and the CLI --json output.
 struct CompileStats {
-  std::int64_t tus_compiled = 0;      ///< compiler invocations
+  std::int64_t tus_compiled = 0;      ///< successful compiler invocations
   std::int64_t kernels_compiled = 0;  ///< kernels lowered+compiled fresh
   std::int64_t mem_hits = 0;          ///< resolved from the in-process map
   std::int64_t disk_hits = 0;         ///< resolved from the on-disk cache
@@ -86,7 +88,9 @@ struct CompileStats {
   std::int64_t modules_opened = 0;    ///< dlopen()s performed (counter)
   std::int64_t modules_closed = 0;    ///< dlclose()s on last release (counter)
   std::int64_t modules_open = 0;      ///< currently resident modules (gauge)
-  double compile_wall_s = 0.0;        ///< wall time inside the compiler
+  /// Wall time inside the compiler, SUMMED over invocations: concurrent
+  /// shards each add their own, so this can exceed the elapsed time.
+  double compile_wall_s = 0.0;
   [[nodiscard]] std::int64_t cache_hits() const noexcept {
     return mem_hits + disk_hits;
   }
@@ -191,10 +195,16 @@ struct KernelArtifact {
 /// whether anything was removed.
 bool invalidate_kernel(std::uint64_t key);
 
-/// Batched form: compiles every not-yet-cached kernel of `batch` in ONE
-/// translation unit / compiler invocation (the tuner calls this once per
-/// measurement wave).  Individual failures are recorded in the stats and
-/// surface later through resolve_kernel.
+/// Batched form (the tuner calls this once per measurement wave):
+/// compiles every not-yet-cached kernel of `batch` as min(kernels,
+/// ThreadPool::global().concurrency()) shards — one translation unit and
+/// one compiler process each, run concurrently, each under its own
+/// MCFUSER_JIT_COMPILE_TIMEOUT_S deadline.  Shards are balanced by
+/// emitted-source size (ties by cache key), so a wave always compiles in
+/// the same grouping.  A failing shard retries its kernels one TU each,
+/// so only the broken kernel is negative-cached; failures are recorded
+/// in the stats and surface later through resolve_kernel.  Batches from
+/// concurrent callers still compile one round at a time.
 void prepare_kernels(std::span<const Schedule* const> batch,
                      const std::string& gpu_key, const Toolchain& tc);
 

@@ -71,8 +71,9 @@ class MeasureBackend {
   /// Batch preparation hook: the tuner calls this once per measurement
   /// wave, before the concurrent measure() calls, with every schedule the
   /// wave will measure.  Backends with per-schedule compilation amortise
-  /// it here (the jit backend compiles all missing kernels in ONE
-  /// translation unit / compiler invocation); the default is a no-op.
+  /// it here (the jit backend compiles all missing kernels as a few
+  /// concurrent compiler shards, see jit::prepare_kernels); the default
+  /// is a no-op.
   /// Must never change any measure() result — only its cost.
   virtual void prepare_batch(std::span<const Schedule* const> /*schedules*/,
                              const MeasureOptions& /*options*/ = {}) const {}
@@ -249,7 +250,7 @@ struct ExecBackendOptions {
 ///   * "jit"           compiles every candidate to machine code through
 ///                     exec/jit (host toolchain, -O3 -march=native,
 ///                     digest-keyed on-disk kernel cache; prepare_batch()
-///                     compiles a whole tuner wave in one invocation) and
+///                     compiles a whole tuner wave as concurrent shards) and
 ///                     times the native kernel in process.
 ///   * "jit-isolated"  the same native kernels, EXECUTED inside sandbox
 ///                     worker processes, so a kernel that segfaults, loops
@@ -288,9 +289,9 @@ class ExecBackend : public MeasureBackend {
 
   [[nodiscard]] KernelMeasurement measure(
       const Schedule& s, const MeasureOptions& options = {}) const override;
-  /// One TU / compiler invocation for all missing kernels of the wave
-  /// (workers then dlopen the cached artifacts); a no-op on the
-  /// interpreter.
+  /// Compiles all missing kernels of the wave as concurrent compiler
+  /// shards, one TU each (jit::prepare_kernels; workers then dlopen the
+  /// cached artifacts); a no-op on the interpreter.
   void prepare_batch(std::span<const Schedule* const> schedules,
                      const MeasureOptions& options = {}) const override;
   [[nodiscard]] KernelMeasurement measure_raw(

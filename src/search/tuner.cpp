@@ -120,8 +120,8 @@ void Tuner::measure_batch(std::span<const CandidateConfig> cs,
     }
   });
   // Batched backend preparation: one call per measurement wave, so a
-  // compiling backend (jit) amortises the whole wave into a single
-  // translation unit / compiler invocation.
+  // compiling backend (jit) compiles the whole wave in one round of
+  // concurrent compiler shards.
   if (!fresh_entries.empty()) {
     std::vector<const Schedule*> wave_scheds;
     wave_scheds.reserve(fresh_entries.size());

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Banned-pattern lint: greps src/ (and tests/) for primitives the
+# Banned-pattern lint: greps src/ (and tests/, tools/) for primitives the
 # codebase has sanctioned wrappers for, so new code cannot quietly
 # bypass them.
 #
@@ -12,6 +12,10 @@
 #   raw-popen   popen() outside exec/jit — pipes without a deadline;
 #               the jit's fork/exec pipeline is the sanctioned way to
 #               run a subprocess with a timeout
+#   raw-pipe    pipe() in src/ or tools/ — a descriptor without
+#               O_CLOEXEC leaks into every process forked meanwhile (a
+#               compiler or sandbox worker holding a pipe's write end keeps
+#               its reader from ever seeing EOF); use pipe2(fds, O_CLOEXEC)
 #   raw-setenv  setenv()/unsetenv() in tests/ outside tests/scoped_env —
 #               a bare pair that unsets unconditionally wipes a
 #               caller-set knob for every later test in the binary;
@@ -45,6 +49,8 @@ check() {  # check <rule> <extended-regex> [dir (default src)]
 check raw-mutex  'std::(recursive_)?mutex'
 check raw-getenv '(std::)?getenv[[:space:]]*\('
 check raw-popen  '(^|[^_[:alnum:]])popen[[:space:]]*\('
+check raw-pipe   '(^|[^_[:alnum:]])pipe[[:space:]]*\(' src
+check raw-pipe   '(^|[^_[:alnum:]])pipe[[:space:]]*\(' tools
 check raw-setenv '(^|[^_[:alnum:]])(un)?setenv[[:space:]]*\(' tests
 
 if [[ $fail -ne 0 ]]; then

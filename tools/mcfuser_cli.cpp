@@ -30,6 +30,7 @@
 //                   the server's stats JSON instead)
 //
 // Unknown flags are rejected with a usage synopsis and exit code 2.
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -659,8 +660,10 @@ int cmd_serve(const Args& args) {
 
   // Handlers go in BEFORE start() binds the socket: a client that sees
   // the socket file may send SIGTERM at once, and that signal must drain
-  // (its byte waits in the pipe until the read below), not kill.
-  if (::pipe(g_signal_pipe) != 0) {
+  // (its byte waits in the pipe until the read below), not kill.  The
+  // pipe is close-on-exec: compilers and sandbox workers spawned by the
+  // engine must not inherit it.
+  if (::pipe2(g_signal_pipe, O_CLOEXEC) != 0) {
     std::fprintf(stderr, "mcfuser serve: pipe: %s\n", std::strerror(errno));
     return 1;
   }
